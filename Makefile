@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath bench bench-json bench-diff profile-smoke
+.PHONY: check build vet lint lint-json test race smoke smoke-metrics bench-smoke chaos chaos-rankdeath stress-dht bench bench-json bench-diff profile-smoke
 
 # check is the PR gate: vet, the rmalint static analyzers, build, full
 # tests, the race detector over every package, a short E13 smoke bench
@@ -81,6 +81,15 @@ chaos:
 # regions must converge byte-exactly with the fault-free run.
 chaos-rankdeath:
 	$(GO) test -race -count=1 -run 'RankDeath|RankKill|Replication|Membership|Spare|Postmortem' ./internal/core/ ./internal/simnet/ ./internal/runtime/ ./rma/
+
+# stress-dht repeats the dht suite at several host parallelisms: a lost
+# wakeup in the notified bucket-lock handoff shows up as a wedged or
+# failed run at some GOMAXPROCS. TestLinkFailurePostmortem rides along:
+# the postmortem must exist before the error reaches the caller on every
+# run, not most runs.
+stress-dht:
+	for g in 1 2 4; do GOMAXPROCS=$$g $(GO) test -count=20 ./dht/... || exit 1; done
+	$(GO) test -count=20 -run 'TestLinkFailurePostmortem$$' ./internal/core/
 
 bench:
 	$(GO) run ./cmd/rmabench

@@ -10,10 +10,16 @@
 //
 //	[ word int64 | key int64 | value ValueSize bytes ]
 //
-// where word packs a version counter and a 2-bit state:
+// where word packs a version counter, a waiter bit and a 2-bit state:
 //
-//	word = version<<2 | state     state: 0 empty, 1 locked, 2 full,
-//	                                     3 tombstone
+//	word = version<<3 | waitBit | state     state: 0 empty, 1 locked,
+//	                                               2 full, 3 tombstone
+//
+// The waiter bit (4) is only ever set on a locked word. Behind the buckets
+// every exposure carries one int64 waiter slot per world rank and one
+// int64 wake word:
+//
+//	[ buckets | slot[0] ... slot[Size-1] | wake ]
 //
 // Zeroed memory is an empty table. Keys hash with splitmix64 and probe
 // linearly through the global index space, wrapping across stripes, so a
@@ -21,29 +27,41 @@
 //
 // Protocol. Readers issue one blocking Get of the whole bucket: target
 // applies are per-operation atomic, so the snapshot is consistent — a
-// full word means the value bytes belong to that version, a locked word
-// means a writer is mid-update and the reader retries. Writers claim a
+// full word means the value bytes belong to that version. Writers claim a
 // bucket by CompareSwap on the word (empty/tombstone/full -> locked,
-// version+1), stream key and value with ordered puts, and unlock by
-// putting full with version+2; the ordered unlock cannot overtake the
-// value bytes, and one Complete per mutation makes the whole transition
-// durable before the call returns. Every successful transition increments
-// the version exactly once, so a CompareSwap on a full word at version v
-// proves the value bytes are still the ones snapshotted at v — the basis
-// of Map.CAS. Retries never touch the word, which keeps converged table
-// bytes independent of contention interleavings (the chaos tests compare
-// stripes byte-exact against a fault-free run).
+// version+1), stream key and value with ordered puts, and release with an
+// ordered CompareSwap from locked to full at version+2; it cannot overtake
+// the value bytes, and one Complete per mutation makes the whole
+// transition durable before the call returns. Every successful transition
+// increments the version exactly once, so a CompareSwap on a full word at
+// version v proves the value bytes are still the ones snapshotted at v —
+// the basis of Map.CAS.
+//
+// Retries never poll. An operation that finds its bucket locked parks: it
+// writes a ticket naming the bucket into its own waiter slot on that
+// stripe, sets the waiter bit with an ordered CompareSwap against the
+// locked word it saw, and waits in Session.Select for the ticket to land
+// in its own wake word. The holder's release returns the old word; only
+// when it carries the waiter bit does the holder read the stripe's slots
+// and raise each waiting rank's wake word to its ticket — one notified
+// max-accumulate per waiter, nothing sent while the lock is held. Waiters
+// then re-read the bucket. The release always writes a word without the
+// waiter bit, so converged table bytes stay independent of contention
+// interleavings (the chaos tests compare stripes byte-exact against a
+// fault-free run), and the slots lie outside the bucket bytes.
 //
 // All table traffic rides the session it was opened on: batching,
 // sharding, events, fault injection, and buddy replication all apply. With
 // WithFailover a map whose stripe owner is declared dead (ErrRankFailed)
-// waits for the spare rebuild and retries against the successor.
+// waits for the spare rebuild and retries against the successor; a parked
+// waiter also wakes on the owner's death and takes the same path.
 package dht
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"mpi3rma/internal/datatype"
 	"mpi3rma/internal/runtime"
@@ -59,6 +77,9 @@ const (
 	stateFull   = 2
 	stateTomb   = 3
 )
+
+// waitBit marks a locked word whose holder must wake parked waiters.
+const waitBit = 4
 
 const (
 	wordOff = 0 // lock/version word
@@ -125,7 +146,7 @@ type Stats struct {
 	Gets, Puts, Deletes, CASes int64 // public operations completed
 	Misses                     int64 // Gets that found no key
 	ProbeSteps                 int64 // buckets examined beyond the home slot
-	LockRetries                int64 // re-reads of a locked bucket
+	LockRetries                int64 // times an operation found its bucket locked and parked
 	CASRaces                   int64 // claim CompareSwaps lost to a racer
 	Failovers                  int64 // stripe retargets after a rank death
 }
@@ -137,8 +158,9 @@ type Map struct {
 	s       *rma.Session
 	p       *runtime.Proc
 	order   datatype.ByteOrder
-	stripes []rma.TargetMem
-	local   rma.Region // this rank's stripe (zero Region on pure clients)
+	ranks   []rma.TargetMem // every rank's exposure: wake words
+	stripes []rma.TargetMem // ranks[:servers]: the table
+	local   rma.Region      // this rank's exposure
 
 	perRank  int
 	valSize  int
@@ -146,16 +168,24 @@ type Map struct {
 	total    int
 	maxProbe int
 	failover bool
+	slotsOff int            // waiter slots, one int64 per rank
+	wakeOff  int            // this rank's wake word
+	seq      []rma.OpOption // attributes of every put to a stripe
 
-	buf  rma.Region // bucket-sized scratch: snapshot gets
-	kv   rma.Region // key+value scratch: insert payload
-	word rma.Region // 8-byte scratch: unlock puts
+	buf   rma.Region // bucket-sized scratch: snapshot gets
+	kv    rma.Region // key+value scratch: insert payload
+	word  rma.Region // 8-byte scratch: slot and wake puts
+	slots rma.Region // slot-array scratch: the releaser's waiter scan
+
+	ticket uint64           // park generation, high half of every ticket
+	arms   []rma.SelectCase // reused Select cases while parked
 
 	gets, puts, deletes, cases        stats.Counter
 	misses                            stats.Counter
 	probeSteps, lockRetries, casRaces stats.Counter
 	failovers                         stats.Counter
-	contention                        []stats.Counter // per stripe: lock retries + lost claims
+	wakes                             stats.Counter   // parks ended by their own ticket
+	contention                        []stats.Counter // per stripe: parks + lost claims
 	lat                               *stats.Histogram
 }
 
@@ -185,10 +215,13 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 	if cfg.maxProbe <= 0 || cfg.maxProbe > total {
 		cfg.maxProbe = total
 	}
+	slotsOff := cfg.perRank * bucketSz
+	wakeOff := slotsOff + 8*p.Size()
 
 	// Collective allocation: uniform size keeps the exchange symmetric;
-	// only the first Servers stripes are ever addressed.
-	tms, local, err := s.ExposeCollective(cfg.perRank * bucketSz)
+	// only the first Servers stripes hold buckets, every rank's wake word
+	// is addressed.
+	tms, local, err := s.ExposeCollective(wakeOff + 8)
 	if err != nil {
 		return nil, err
 	}
@@ -196,6 +229,7 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 		s:          s,
 		p:          p,
 		order:      p.ByteOrder(),
+		ranks:      tms,
 		stripes:    tms[:cfg.servers],
 		local:      local,
 		perRank:    cfg.perRank,
@@ -204,11 +238,25 @@ func Open(s *rma.Session, opts ...Option) (*Map, error) {
 		total:      total,
 		maxProbe:   cfg.maxProbe,
 		failover:   cfg.failover,
+		slotsOff:   slotsOff,
+		wakeOff:    wakeOff,
 		buf:        p.Alloc(bucketSz),
 		kv:         p.Alloc(8 + cfg.valSize),
 		word:       p.Alloc(8),
+		slots:      p.Alloc(8 * p.Size()),
+		arms:       make([]rma.SelectCase, 0, p.Size()+1),
 		contention: make([]stats.Counter, cfg.servers),
 		lat:        new(stats.Histogram),
+	}
+	// Every put to a stripe is ordered, so it applies before the word
+	// CompareSwap issued after it. A target that shards applies runs
+	// ordered puts on a designated shard, apart from the atomic serializer
+	// that runs CompareSwaps; there the puts join the serializer instead.
+	// Every rank of a world opens its session alike, so this rank's
+	// engine answers for the targets'.
+	m.seq = []rma.OpOption{rma.WithOrdering()}
+	if s.Engine().ShardPool() != nil {
+		m.seq = append(m.seq, rma.WithAtomic())
 	}
 	m.registerMetrics()
 	return m, nil
@@ -247,8 +295,9 @@ func (m *Map) Stripes() []rma.TargetMem {
 	return m.stripes
 }
 
-// Local returns this rank's own stripe region (a zero Region on ranks
-// beyond the server count).
+// Local returns this rank's own exposure: its stripe's buckets first
+// (unused on ranks beyond the server count), then the waiter slots and
+// the wake word.
 func (m *Map) Local() rma.Region { return m.local }
 
 // Servers returns the number of ranks the table is striped over.
@@ -272,8 +321,8 @@ func (m *Map) Stats() Stats {
 }
 
 // StripeContention returns this handle's per-stripe contention counts
-// (lock retries plus lost bucket claims, attributed to the stripe they
-// happened on).
+// (parks plus lost bucket claims, attributed to the stripe they happened
+// on).
 func (m *Map) StripeContention() []int64 {
 	out := make([]int64, len(m.contention))
 	for i := range m.contention {
@@ -320,9 +369,15 @@ func (m *Map) dec64(b []byte) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func pack(version int64, state int64) int64 { return version<<2 | state }
+func (m *Map) setWord(v uint64) {
+	var b [8]byte
+	m.enc64(b[:], v)
+	m.p.WriteLocal(m.word, 0, b[:])
+}
+
+func pack(version int64, state int64) int64 { return version<<3 | state }
 func wordState(w int64) int64               { return w & 3 }
-func wordVersion(w int64) int64             { return w >> 2 }
+func wordVersion(w int64) int64             { return w >> 3 }
 
 // failing wraps one remote primitive with the failover retry: when the
 // stripe owner is declared dead and failover is armed, wait for the spare
@@ -359,15 +414,16 @@ func (m *Map) snapshot(sr, off int) (word, key int64, err error) {
 }
 
 // claim CompareSwaps the bucket word from observed to locked(version+1),
-// reporting whether this handle now holds the claim. After a failover
-// retry, finding the locked word already installed also counts: the first
-// attempt reached the dying owner and was replicated before the response
-// was lost — treating it as a lost race would leave the claimer spinning
-// forever on its own lock. (A racer's identical claim in that window is
-// indistinguishable; recovery stays sound because each key has a single
-// writer while a stripe fails over, which the tests and E16 arrange.)
-func (m *Map) claim(sr, off int, observed int64) (claimed bool, err error) {
-	locked := pack(wordVersion(observed)+1, stateLocked)
+// returning the locked word and whether this handle now holds the claim.
+// After a failover retry, finding the locked word already installed also
+// counts: the first attempt reached the dying owner and was replicated
+// before the response was lost — treating it as a lost race would leave
+// the claimer parked forever on its own lock. (A racer's identical claim
+// in that window is indistinguishable; recovery stays sound because each
+// key has a single writer while a stripe fails over, which the tests and
+// E16 arrange.)
+func (m *Map) claim(sr, off int, observed int64) (locked int64, claimed bool, err error) {
+	locked = pack(wordVersion(observed)+1, stateLocked)
 	var old int64
 	retried, err := m.failing(sr, func() error {
 		var e error
@@ -375,40 +431,169 @@ func (m *Map) claim(sr, off int, observed int64) (claimed bool, err error) {
 		return e
 	})
 	if err != nil {
-		return false, err
+		return 0, false, err
 	}
-	return old == observed || (retried && old == locked), nil
+	return locked, old == observed || (retried && old == locked), nil
 }
 
-// finish streams the payload puts of a mutation and unlocks the bucket.
-// The puts carry Ordering so the unlock word can never overtake the
-// value bytes, and the single Complete makes the transition durable (with
-// replication: buddy-acknowledged) before returning.
-func (m *Map) finish(sr, off int, payload rma.Region, n, payloadOff int, unlock int64) error {
+// finish streams the payload puts of a mutation, releases the bucket from
+// locked to next, and wakes whoever parked on it. The release can never
+// overtake the value bytes (see Map.seq), and the single Complete makes
+// the transition durable (with replication: buddy-acknowledged) before
+// returning.
+func (m *Map) finish(sr, off int, payload rma.Region, n, payloadOff int, locked, next int64) error {
+	attempt := 0
 	_, err := m.failing(sr, func() error {
+		attempt++
 		if n > 0 {
-			if _, err := m.s.Put(payload, n, rma.Byte, m.stripes[sr], off+payloadOff,
-				rma.WithOrdering(), rma.WithNotify()); err != nil {
+			if _, err := m.s.PutNotify(payload, n, rma.Byte, m.stripes[sr], off+payloadOff, m.seq...); err != nil {
 				return err
 			}
 		}
-		wb := make([]byte, 8)
-		m.enc64(wb, uint64(unlock))
-		m.p.WriteLocal(m.word, 0, wb)
-		if _, err := m.s.Put(m.word, 8, rma.Byte, m.stripes[sr], off+wordOff,
-			rma.WithOrdering(), rma.WithNotify()); err != nil {
+		waiters, err := m.release(sr, off, locked, next, attempt > 1)
+		if err != nil {
 			return err
+		}
+		if waiters {
+			if err := m.wake(sr, off); err != nil {
+				return err
+			}
 		}
 		return m.s.Complete(m.stripes[sr].Owner)
 	})
 	return err
 }
 
-// backoff yields a little virtual time before re-reading a contended
-// bucket, so retry storms cost model time instead of spinning for free.
-func (m *Map) backoff(attempt int) {
-	d := vtime.Duration(50 * (1 << min(attempt, 6)))
-	m.p.Advance(d)
+// release swaps the bucket word from locked to next with an ordered
+// CompareSwap and reports whether waiters registered while the lock was
+// held. Under the lock only the waiter bit can change, so a second swap
+// from locked|waitBit always lands. On a failover retry a word already
+// past next's version means the first attempt's release reached the dead
+// owner's replica before the response was lost.
+func (m *Map) release(sr, off int, locked, next int64, retried bool) (waiters bool, err error) {
+	old, err := m.s.CompareSwap(m.stripes[sr], off+wordOff, locked, next, rma.WithOrdering())
+	if err != nil {
+		return false, err
+	}
+	if old == locked|waitBit {
+		if old, err = m.s.CompareSwap(m.stripes[sr], off+wordOff, locked|waitBit, next, rma.WithOrdering()); err != nil {
+			return false, err
+		}
+		waiters = old == locked|waitBit
+	}
+	switch {
+	case old == locked || waiters:
+		return waiters, nil
+	case retried && wordVersion(old) >= wordVersion(next):
+		return false, nil
+	}
+	return false, fmt.Errorf("dht: bucket word %#x changed under the lock (held %#x)", old, locked)
+}
+
+// wake reads the stripe's waiter slots and raises every waiting rank's
+// wake word to the ticket naming the bucket at off — one notified
+// max-accumulate per waiter. Tickets only grow, so a stale ticket left in
+// a slot can never overwrite a newer one that already landed. A waiter
+// whose rank is gone has nothing to wake; its wake's failure is dropped.
+func (m *Map) wake(sr, off int) error {
+	n := len(m.ranks)
+	if _, err := m.s.Get(m.slots, n, rma.Int64, m.stripes[sr], m.slotsOff, rma.WithBlocking()); err != nil {
+		return err
+	}
+	raw := m.p.ReadLocal(m.slots, 0, 8*n)
+	bucket := uint32(off/m.bucketSz + 1)
+	for r := 0; r < n; r++ {
+		t := m.dec64(raw[8*r:])
+		if uint32(t) != bucket {
+			continue
+		}
+		m.setWord(t)
+		_, err := m.s.Accumulate(rma.Max, m.word, 1, rma.Int64, m.ranks[r], m.wakeOff,
+			rma.WithAtomic(), rma.WithNotify(), rma.WithBlocking())
+		if err != nil && !errors.Is(err, rma.ErrRankFailed) && !errors.Is(err, rma.ErrLinkFailed) {
+			return err
+		}
+	}
+	return nil
+}
+
+// park waits until the bucket at (sr, off), seen holding the locked word,
+// is released. It registers a fresh ticket in this rank's waiter slot on
+// the stripe, then sets the waiter bit with an ordered CompareSwap: the
+// slot put applies first, so a holder whose release sees the bit also
+// sees the slot. If the word moved on before the bit landed there is
+// nothing to wait for. Otherwise it sleeps until the holder's wake
+// delivers the ticket, or until the stripe owner fails — then the error
+// goes through failover like any other primitive's, and the retry parks
+// against the successor.
+func (m *Map) park(sr, off int, locked int64) error {
+	m.ticket++
+	ticket := m.ticket<<32 | uint64(off/m.bucketSz+1)
+	_, err := m.failing(sr, func() error {
+		if err := m.putSlot(sr, ticket); err != nil {
+			return err
+		}
+		old, err := m.s.CompareSwap(m.stripes[sr], off+wordOff, locked, locked|waitBit, rma.WithOrdering())
+		if err != nil {
+			return err
+		}
+		if old != locked && old != locked|waitBit {
+			// Released (and maybe re-claimed) already: re-read.
+			return m.putSlot(sr, 0)
+		}
+		m.lockRetries.Inc()
+		m.contention[sr].Inc()
+		if err := m.sleep(sr, ticket); err != nil {
+			return err
+		}
+		m.wakes.Inc()
+		return m.putSlot(sr, 0)
+	})
+	return err
+}
+
+// putSlot writes v into this rank's waiter slot on stripe sr, in order
+// with the word CompareSwaps around it.
+func (m *Map) putSlot(sr int, v uint64) error {
+	m.setWord(v)
+	req, err := m.s.Put(m.word, 1, rma.Int64, m.stripes[sr], m.slotsOff+8*m.p.Rank(), m.seq...)
+	if err != nil {
+		return err
+	}
+	req.Wait()
+	return req.Err()
+}
+
+// sleep blocks in Select until the wake word reaches ticket. Each
+// round arms one OnApplied case per rank at one past its current applied
+// count — any operation applying here fires it, the wake among them,
+// and a wake that lands between arming and the check below has already
+// lifted its origin past the threshold — plus a case that fires on the
+// stripe owner's failure. Nothing crosses the network while asleep.
+func (m *Map) sleep(sr int, ticket uint64) error {
+	eng := m.s.Engine()
+	comm := m.p.Comm()
+	for {
+		m.arms = m.arms[:0]
+		for r := 0; r < comm.Size(); r++ {
+			m.arms = append(m.arms, rma.OnApplied(r, eng.AppliedFrom(comm.WorldRank(r))+1))
+		}
+		if m.dec64(m.p.ReadLocal(m.local, m.wakeOff, 8)) >= ticket {
+			return nil
+		}
+		// A successor spare lies outside the communicator Select
+		// addresses; its failure is not watched.
+		if owner := m.stripes[sr].Owner; owner < comm.Size() {
+			m.arms = append(m.arms, rma.OnConfirmed(owner, math.MaxInt64))
+		}
+		_, ev, err := m.s.Select(m.arms...)
+		if err != nil {
+			return err
+		}
+		if ev.Kind == rma.EvFault {
+			return ev.Err
+		}
+	}
 }
 
 func (m *Map) observe(start vtime.Time) {
@@ -427,7 +612,7 @@ func (m *Map) Get(key int64) ([]byte, bool, error) {
 		if i > 0 {
 			m.probeSteps.Inc()
 		}
-		for attempt := 0; ; attempt++ {
+		for {
 			w, k, err := m.snapshot(sr, off)
 			if err != nil {
 				return nil, false, err
@@ -438,9 +623,9 @@ func (m *Map) Get(key int64) ([]byte, bool, error) {
 				m.misses.Inc()
 				return nil, false, nil
 			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
+				if err := m.park(sr, off, w); err != nil {
+					return nil, false, err
+				}
 				continue
 			case stateFull:
 				if k == key {
@@ -485,23 +670,23 @@ func (m *Map) tryPut(key int64, value []byte) (done bool, err error) {
 		if i > 0 {
 			m.probeSteps.Inc()
 		}
-		for attempt := 0; ; attempt++ {
+		for {
 			w, k, err := m.snapshot(sr, off)
 			if err != nil {
 				return false, err
 			}
 			switch wordState(w) {
 			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
+				if err := m.park(sr, off, w); err != nil {
+					return false, err
+				}
 				continue
 			case stateFull:
 				if k != key {
 					// occupied by another key: probe on
 				} else {
 					// Update in place: full(v) -> locked(v+1) -> full(v+2).
-					claimed, err := m.claim(sr, off, w)
+					locked, claimed, err := m.claim(sr, off, w)
 					if err != nil {
 						return false, err
 					}
@@ -511,7 +696,7 @@ func (m *Map) tryPut(key int64, value []byte) (done bool, err error) {
 						return false, nil
 					}
 					m.p.WriteLocal(m.kv, 0, value)
-					return true, m.finish(sr, off, m.kv, m.valSize, valOff, pack(wordVersion(w)+2, stateFull))
+					return true, m.finish(sr, off, m.kv, m.valSize, valOff, locked, pack(wordVersion(w)+2, stateFull))
 				}
 			case stateTomb:
 				if firstFree < 0 {
@@ -539,16 +724,16 @@ func (m *Map) tryPut(key int64, value []byte) (done bool, err error) {
 // key+value. done=false on a lost race.
 func (m *Map) insertAt(idx int, key int64, value []byte) (done bool, err error) {
 	sr, off := m.locate(idx)
-	for attempt := 0; ; attempt++ {
+	for {
 		w, _, err := m.snapshot(sr, off)
 		if err != nil {
 			return false, err
 		}
 		st := wordState(w)
 		if st == stateLocked {
-			m.lockRetries.Inc()
-			m.contention[sr].Inc()
-			m.backoff(attempt)
+			if err := m.park(sr, off, w); err != nil {
+				return false, err
+			}
 			continue
 		}
 		if st == stateFull {
@@ -557,7 +742,7 @@ func (m *Map) insertAt(idx int, key int64, value []byte) (done bool, err error) 
 			m.contention[sr].Inc()
 			return false, nil
 		}
-		claimed, err := m.claim(sr, off, w)
+		locked, claimed, err := m.claim(sr, off, w)
 		if err != nil {
 			return false, err
 		}
@@ -570,7 +755,7 @@ func (m *Map) insertAt(idx int, key int64, value []byte) (done bool, err error) 
 		m.enc64(kb[:8], uint64(key))
 		copy(kb[8:], value)
 		m.p.WriteLocal(m.kv, 0, kb)
-		return true, m.finish(sr, off, m.kv, 8+m.valSize, keyOff, pack(wordVersion(w)+2, stateFull))
+		return true, m.finish(sr, off, m.kv, 8+m.valSize, keyOff, locked, pack(wordVersion(w)+2, stateFull))
 	}
 }
 
@@ -587,7 +772,7 @@ func (m *Map) Delete(key int64) (bool, error) {
 		if i > 0 {
 			m.probeSteps.Inc()
 		}
-		for attempt := 0; ; attempt++ {
+		for {
 			w, k, err := m.snapshot(sr, off)
 			if err != nil {
 				return false, err
@@ -596,9 +781,9 @@ func (m *Map) Delete(key int64) (bool, error) {
 			case stateEmpty:
 				return false, nil
 			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
+				if err := m.park(sr, off, w); err != nil {
+					return false, err
+				}
 				continue
 			case stateFull:
 				if k == key {
@@ -614,7 +799,6 @@ func (m *Map) Delete(key int64) (bool, error) {
 						// Lost to a concurrent writer: re-examine.
 						m.casRaces.Inc()
 						m.contention[sr].Inc()
-						m.backoff(attempt)
 						continue
 					}
 					return true, nil
@@ -661,7 +845,7 @@ func (m *Map) CAS(key int64, expect, newVal []byte) (bool, error) {
 		if i > 0 {
 			m.probeSteps.Inc()
 		}
-		for attempt := 0; ; attempt++ {
+		for {
 			w, k, err := m.snapshot(sr, off)
 			if err != nil {
 				return false, err
@@ -670,9 +854,9 @@ func (m *Map) CAS(key int64, expect, newVal []byte) (bool, error) {
 			case stateEmpty:
 				return false, nil
 			case stateLocked:
-				m.lockRetries.Inc()
-				m.contention[sr].Inc()
-				m.backoff(attempt)
+				if err := m.park(sr, off, w); err != nil {
+					return false, err
+				}
 				continue
 			case stateFull:
 				if k != key {
@@ -685,18 +869,17 @@ func (m *Map) CAS(key int64, expect, newVal []byte) (bool, error) {
 				// The claim succeeding at version v proves the snapshot
 				// (taken at v) is still the live value: every transition
 				// bumps the version.
-				claimed, err := m.claim(sr, off, w)
+				locked, claimed, err := m.claim(sr, off, w)
 				if err != nil {
 					return false, err
 				}
 				if !claimed {
 					m.casRaces.Inc()
 					m.contention[sr].Inc()
-					m.backoff(attempt)
 					continue
 				}
 				m.p.WriteLocal(m.kv, 0, newVal)
-				if err := m.finish(sr, off, m.kv, m.valSize, valOff, pack(wordVersion(w)+2, stateFull)); err != nil {
+				if err := m.finish(sr, off, m.kv, m.valSize, valOff, locked, pack(wordVersion(w)+2, stateFull)); err != nil {
 					return false, err
 				}
 				return true, nil

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -310,6 +311,12 @@ func runMapChaos(t *testing.T, plan *simnet.FaultPlan) []byte {
 		}
 		p.Barrier()
 		stripeBytes[me] = p.Mem().Snapshot(m.Local().Offset, m.PerRank()*(valOff+m.ValueSize()))
+		for b := 0; b < m.PerRank(); b++ {
+			word := int64(binary.LittleEndian.Uint64(stripeBytes[me][b*(valOff+m.ValueSize()):]))
+			if word&waitBit != 0 {
+				t.Errorf("rank %d bucket %d converged with the waiter bit set: %#x", me, b, word)
+			}
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -484,5 +491,377 @@ func TestMapMetricsRegistered(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stormValue encodes a 24-byte storm value: x, its complement (a torn or
+// mixed write breaks the pair) and the bucket version the writer expects
+// the value to be published at (0 when the writer cannot know it).
+func stormValue(x, version uint64) []byte {
+	b := make([]byte, 24)
+	binary.LittleEndian.PutUint64(b[0:], x)
+	binary.LittleEndian.PutUint64(b[8:], ^x)
+	binary.LittleEndian.PutUint64(b[16:], version)
+	return b
+}
+
+func stormDecode(b []byte) (x, version uint64, intact bool) {
+	x = binary.LittleEndian.Uint64(b[0:])
+	return x, binary.LittleEndian.Uint64(b[16:]), binary.LittleEndian.Uint64(b[8:]) == ^x
+}
+
+// stormResult is one storm rank's account.
+type stormResult struct {
+	writes int64 // successful Puts, CAS wins and versioned writes
+	st     Stats
+	wakes  int64
+	word   int64 // the hot bucket's final word (rank 0)
+}
+
+// versionedWrite is Put's in-place update path with a value that names
+// the version it is published at, so readers can prove they never see a
+// full word with older value bytes.
+func versionedWrite(m *Map, key int64, x uint64) error {
+	sr, off := m.locate(m.home(key))
+	for {
+		w, k, err := m.snapshot(sr, off)
+		if err != nil {
+			return err
+		}
+		if k != key {
+			return fmt.Errorf("hot bucket holds key %d", k)
+		}
+		if wordState(w) == stateLocked {
+			if err := m.park(sr, off, w); err != nil {
+				return err
+			}
+			continue
+		}
+		locked, claimed, err := m.claim(sr, off, w)
+		if err != nil {
+			return err
+		}
+		if !claimed {
+			continue
+		}
+		next := pack(wordVersion(w)+2, stateFull)
+		m.p.WriteLocal(m.kv, 0, stormValue(x, uint64(wordVersion(next))))
+		return m.finish(sr, off, m.kv, m.valSize, valOff, locked, next)
+	}
+}
+
+// checkedRead snapshots the hot bucket and fails on a full word whose
+// value bytes are torn or belong to another version.
+func checkedRead(m *Map, key int64) error {
+	sr, off := m.locate(m.home(key))
+	w, k, err := m.snapshot(sr, off)
+	if err != nil {
+		return err
+	}
+	if wordState(w) != stateFull || k != key {
+		return nil
+	}
+	_, ver, intact := stormDecode(m.p.ReadLocal(m.buf, valOff, m.valSize))
+	if !intact {
+		return fmt.Errorf("full word %#x over mixed value bytes", w)
+	}
+	if ver != 0 && ver != uint64(wordVersion(w)) {
+		return fmt.Errorf("full word at version %d over value bytes published at version %d", wordVersion(w), ver)
+	}
+	return nil
+}
+
+const tagStorm = 78
+
+// holdUntilParked claims key's bucket, lets every other rank loose on it
+// (tagStorm), and releases it with a versioned write once all of them
+// have registered in the stripe's waiter slots and the waiter bit is set.
+func holdUntilParked(m *Map, key int64, waiters int) error {
+	sr, off := m.locate(m.home(key))
+	w, _, err := m.snapshot(sr, off)
+	if err != nil {
+		return err
+	}
+	locked, claimed, err := m.claim(sr, off, w)
+	if err != nil || !claimed {
+		return fmt.Errorf("claim: claimed=%v err=%v", claimed, err)
+	}
+	for r := 0; r < m.p.Size(); r++ {
+		if r != m.p.Rank() {
+			m.p.Send(r, tagStorm, nil)
+		}
+	}
+	bucket := uint32(off/m.bucketSz + 1)
+	for {
+		cur, _, err := m.snapshot(sr, off)
+		if err != nil {
+			return err
+		}
+		if _, err := m.s.Get(m.slots, m.p.Size(), rma.Int64, m.stripes[sr], m.slotsOff, rma.WithBlocking()); err != nil {
+			return err
+		}
+		raw := m.p.ReadLocal(m.slots, 0, 8*m.p.Size())
+		n := 0
+		for r := 0; r < m.p.Size(); r++ {
+			if uint32(m.dec64(raw[8*r:])) == bucket {
+				n++
+			}
+		}
+		if n == waiters && cur&waitBit != 0 {
+			break
+		}
+	}
+	next := pack(wordVersion(w)+2, stateFull)
+	m.p.WriteLocal(m.kv, 0, stormValue(0, uint64(wordVersion(next))))
+	return m.finish(sr, off, m.kv, m.valSize, valOff, locked, next)
+}
+
+// runHotKeyStorm has every rank mix Get, CAS, Put and versioned writes on
+// one key, then returns each rank's account. It fails the test on any
+// torn, mixed or stale read and on a storm that outlives its watchdog.
+func runHotKeyStorm(t *testing.T, opts ...rma.SessionOption) []stormResult {
+	t.Helper()
+	const ranks, iters = 5, 150
+	const key = int64(7)
+	w := newWorld(t, runtime.Config{Ranks: ranks, Seed: 41})
+	res := make([]stormResult, ranks)
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(p *runtime.Proc) {
+			s := rma.Open(p, opts...)
+			m, err := Open(s, WithBuckets(8), WithValueSize(24))
+			if err != nil {
+				t.Errorf("open: %v", err)
+				panic("dht storm: open failed")
+			}
+			me := p.Rank()
+			fail := func(op string, err error) {
+				t.Errorf("rank %d %s: %v", me, op, err)
+				panic("dht storm: " + op)
+			}
+			if me == 0 {
+				if err := m.Put(key, stormValue(0, 0)); err != nil {
+					fail("seed put", err)
+				}
+			}
+			p.Barrier()
+			r := &res[me]
+			// However the host schedules the ranks, the storm opens with
+			// every other rank parked on a held lock.
+			if me == 0 {
+				if err := holdUntilParked(m, key, ranks-1); err != nil {
+					fail("opening hold", err)
+				}
+				r.writes++
+			} else {
+				p.Recv(0, tagStorm)
+			}
+			for i := 0; i < iters; i++ {
+				x := uint64(me)<<32 | uint64(i)
+				switch (i + me) % 4 {
+				case 0:
+					got, ok, err := m.Get(key)
+					if err != nil || !ok {
+						fail("get", fmt.Errorf("ok=%v err=%v", ok, err))
+					}
+					if _, _, intact := stormDecode(got); !intact {
+						fail("get", fmt.Errorf("mixed value bytes %x", got))
+					}
+				case 1:
+					cur, ok, err := m.Get(key)
+					if err != nil || !ok {
+						fail("cas read", fmt.Errorf("ok=%v err=%v", ok, err))
+					}
+					swapped, err := m.CAS(key, cur, stormValue(x, 0))
+					if err != nil {
+						fail("cas", err)
+					}
+					if swapped {
+						r.writes++
+					}
+				case 2:
+					if err := m.Put(key, stormValue(x, 0)); err != nil {
+						fail("put", err)
+					}
+					r.writes++
+				default:
+					if err := versionedWrite(m, key, x); err != nil {
+						fail("versioned write", err)
+					}
+					r.writes++
+				}
+				if err := checkedRead(m, key); err != nil {
+					fail("checked read", err)
+				}
+			}
+			p.Barrier()
+			r.st, r.wakes = m.Stats(), m.wakes.Value()
+			if me == 0 {
+				sr, off := m.locate(m.home(key))
+				word, _, err := m.snapshot(sr, off)
+				if err != nil {
+					fail("final read", err)
+				}
+				r.word = word
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("storm wedged: a parked waiter was never woken")
+	}
+	return res
+}
+
+// checkStorm verifies a storm's account: the hot word counts every write
+// exactly once (each bumps the version by two on top of the insert's
+// two), no waiter bit survives, and every park ended with its own wake.
+func checkStorm(t *testing.T, res []stormResult) {
+	t.Helper()
+	var writes, parks, wakes int64
+	for _, r := range res {
+		writes += r.writes
+		parks += r.st.LockRetries
+		wakes += r.wakes
+	}
+	word := res[0].word
+	if wordState(word) != stateFull || word&waitBit != 0 {
+		t.Fatalf("hot word %#x: want full with the waiter bit clear", word)
+	}
+	if got, want := wordVersion(word), 2+2*writes; got != want {
+		t.Errorf("hot word at version %d after %d writes, want %d", got, writes, want)
+	}
+	if parks == 0 {
+		t.Error("the storm never parked; the notified wait went unexercised")
+	}
+	if parks != wakes {
+		t.Errorf("%d parks but %d wakes: LockRetries must count parks, each ended by its own ticket", parks, wakes)
+	}
+}
+
+// TestMapHotKeyStorm: ranks mix Put, CAS and Get on one key; waiters
+// park instead of polling and every one of them is woken.
+func TestMapHotKeyStorm(t *testing.T) {
+	checkStorm(t, runHotKeyStorm(t))
+}
+
+// TestMapHotKeyStormSharded: the same storm against sharded applies. The
+// ordered release may not overtake the value put on the designated-shard
+// path: no reader ever sees a full word over stale or mixed value bytes.
+func TestMapHotKeyStormSharded(t *testing.T) {
+	checkStorm(t, runHotKeyStorm(t, rma.WithApplyShards(4)))
+}
+
+// TestMapParkedWaiterOwnerDeath: a reader parks on a locked bucket, the
+// holder's release never wakes it, and the stripe owner dies. The owner's
+// failure wakes the waiter, which fails over to the rebuilt stripe and
+// reads the released value there — in bounded time.
+func TestMapParkedWaiterOwnerDeath(t *testing.T) {
+	const (
+		ranks   = 4
+		victim  = 1
+		holder  = 2
+		waiter  = 3
+		tagHeld = 77
+	)
+	killAt := vtime.Time(200 * time.Microsecond)
+	plan := &simnet.FaultPlan{Seed: 5, RankKills: []simnet.RankKill{{Rank: victim, At: killAt}}}
+	w := newWorld(t, runtime.Config{Ranks: ranks, Spares: 1, Seed: 5, Faults: plan})
+	var waiterStats Stats
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run(func(p *runtime.Proc) {
+			s := rma.Open(p, rma.WithReplication())
+			if p.IsSpare() {
+				return
+			}
+			m, err := Open(s, WithBuckets(16), WithValueSize(8), WithFailover())
+			if err != nil {
+				t.Errorf("open: %v", err)
+				panic("dht owner death: open failed")
+			}
+			// A key whose home bucket lives on the victim's stripe.
+			key := int64(0)
+			for ; key < 1000; key++ {
+				if sr, _ := m.locate(m.home(key)); sr == victim {
+					break
+				}
+			}
+			sr, off := m.locate(m.home(key))
+			switch p.Rank() {
+			case victim:
+				base := make([]byte, 8)
+				binary.LittleEndian.PutUint64(base, uint64(m.Local().Offset))
+				p.Send(holder, tagHeld, base)
+			case holder:
+				if err := m.Put(key, val(m, 1)); err != nil {
+					t.Errorf("holder insert: %v", err)
+					panic("dht owner death: insert failed")
+				}
+				word, _, err := m.snapshot(sr, off)
+				if err != nil {
+					t.Errorf("holder snapshot: %v", err)
+					panic("dht owner death: snapshot failed")
+				}
+				locked, claimed, err := m.claim(sr, off, word)
+				if err != nil || !claimed {
+					t.Errorf("holder claim: claimed=%v err=%v", claimed, err)
+					panic("dht owner death: claim failed")
+				}
+				p.Send(waiter, tagHeld, nil)
+				// Hold the lock until the waiter has parked on it. The
+				// holder watches the owner's memory from the host: remote
+				// polls would advance its clock past the kill.
+				base, _ := p.Recv(victim, tagHeld)
+				wordAt := int(binary.LittleEndian.Uint64(base)) + off + wordOff
+				for word&waitBit == 0 {
+					time.Sleep(10 * time.Microsecond)
+					word = int64(binary.LittleEndian.Uint64(w.Proc(victim).Mem().Snapshot(wordAt, 8)))
+				}
+				// Release without waking anyone, as when the release lands
+				// and is replicated but the dying owner never answers: the
+				// holder learns nothing about waiters, so only the owner's
+				// failure can wake the reader.
+				m.p.WriteLocal(m.kv, 0, val(m, 2))
+				if _, err := m.s.PutNotify(m.kv, m.valSize, rma.Byte, m.stripes[sr], off+valOff, m.seq...); err != nil {
+					t.Errorf("holder value put: %v", err)
+					panic("dht owner death: value put failed")
+				}
+				if _, err := m.release(sr, off, locked, pack(wordVersion(word)+2, stateFull), false); err != nil {
+					t.Errorf("holder release: %v", err)
+					panic("dht owner death: release failed")
+				}
+				// Then talk to the owner after its death, which detects it.
+				p.Advance(vtime.Duration(2 * killAt))
+				if _, _, err := m.snapshot(sr, off); err != nil {
+					t.Errorf("holder read across the death: %v", err)
+				}
+			case waiter:
+				p.Recv(holder, tagHeld)
+				got, ok, err := m.Get(key)
+				if err != nil || !ok || !bytes.Equal(got, val(m, 2)) {
+					t.Errorf("parked reader after owner death: %v ok=%v err=%v, want the holder's release", got, ok, err)
+				}
+				waiterStats = m.Stats()
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("parked waiter never returned after its stripe owner died")
+	}
+	if waiterStats.LockRetries == 0 {
+		t.Error("the reader never parked; the scenario went unexercised")
+	}
+	if waiterStats.Failovers == 0 {
+		t.Error("the parked reader never failed over")
 	}
 }

@@ -672,6 +672,20 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: %w", cause)
 
 	e.cmplMu.Lock()
+	_, dup := e.failedLinks[dst]
+	e.cmplMu.Unlock()
+	if dup {
+		return
+	}
+	// The postmortem comes first, before the failure is recorded anywhere
+	// a caller can observe it: no waiter returns the error before its dump
+	// exists, and the dump's health shows the state the failure hit.
+	if f := e.flight.Load(); f != nil {
+		f.Note(int64(at), "link-failed", dst, 0, 0, err)
+		f.AutoDumpFault("link-failed", int64(at), err)
+	}
+
+	e.cmplMu.Lock()
 	if _, dup := e.failedLinks[dst]; dup {
 		e.cmplMu.Unlock()
 		return
@@ -711,10 +725,6 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 	if q := e.evq.Load(); q != nil {
 		q.push(Event{Kind: EvFault, At: at, Rank: dst, Err: err})
 	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "link-failed", dst, 0, 0, err)
-		f.AutoDump("link-failed", int64(at))
-	}
 }
 
 // onRankDead is the membership service's death callback, invoked exactly
@@ -722,16 +732,33 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 // exhaustion confirmed it). It is onLinkFailed's rank-level sibling:
 // outstanding work toward the dead rank fails in bounded time with the
 // wrapped ErrRankFailed, counter waiters and Select cases observe the
-// failure, EvFault carries the dead rank on the event surface, and —
-// before the flight recorder snapshots the postmortem — the replication
-// layer reacts (the dead rank's buddy starts the rebuild onto a spare;
-// a rank whose buddy died flushes its deferred completions).
+// failure, EvFault carries the dead rank on the event surface, and the
+// replication layer reacts (the dead rank's buddy rebuilds it onto a
+// spare; a rank whose buddy died flushes its deferred completions). The
+// flight recorder's postmortem comes before all of it.
 func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: rank %d declared dead (%v): %w", dead, cause, ErrRankFailed)
 
 	e.cmplMu.Lock()
+	_, dup := e.failedRanks[dead]
+	e.cmplMu.Unlock()
+	if dup {
+		return
+	}
+	// Replication settles its roles first so the postmortem names the
+	// promotion; the dump is written before the death is recorded where a
+	// caller can observe it (see onLinkFailed), and before the rebuild it
+	// describes starts.
+	replicate := e.replOnRankDead(dead, at)
+	if f := e.flight.Load(); f != nil {
+		f.Note(int64(at), "rank-death", dead, 0, 0, err)
+		f.AutoDumpFault("rank-death", int64(at), err)
+	}
+
+	e.cmplMu.Lock()
 	if _, dup := e.failedRanks[dead]; dup {
 		e.cmplMu.Unlock()
+		replicate() // whatever roles this call took are still owed
 		return
 	}
 	e.failedRanks[dead] = err
@@ -764,13 +791,9 @@ func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	e.tgtMu.Lock()
 	e.tgtCond.Broadcast()
 	e.tgtMu.Unlock()
-	e.replOnRankDead(dead, at)
+	replicate()
 	if q := e.evq.Load(); q != nil {
 		q.push(Event{Kind: EvFault, At: at, Rank: dead, Err: err})
-	}
-	if f := e.flight.Load(); f != nil {
-		f.Note(int64(at), "rank-death", dead, 0, 0, err)
-		f.AutoDump("rank-death", int64(at))
 	}
 }
 

@@ -352,9 +352,11 @@ func (e *Engine) handleReplAck(m *simnet.Message, at vtime.Time) {
 }
 
 // replOnRankDead is the replication layer's reaction to a confirmed
-// death, invoked from onRankDead before the flight recorder snapshots its
-// postmortem (so the dump already names the promotion). Two independent
-// roles may apply to this engine:
+// death, in two halves around onRankDead's postmortem. It settles this
+// engine's roles and records them in the flight recorder, so the dump
+// names them, and returns the half that acts on them — flushing deferred
+// completions and starting the rebuild — for onRankDead to run once the
+// death is recorded. Two independent roles may apply:
 //
 //   - Promoter: this rank holds replicas owned by the dead rank. It binds
 //     a spare and replays every replica onto it.
@@ -362,7 +364,7 @@ func (e *Engine) handleReplAck(m *simnet.Message, at vtime.Time) {
 //     can never be acknowledged; they are flushed (run immediately) and
 //     replication degrades until the spare finishes rebuilding, then a
 //     full resync re-arms it.
-func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
+func (e *Engine) replOnRankDead(dead int, at vtime.Time) (act func()) {
 	st := &e.repl
 	st.mu.Lock()
 	var mine []replKey
@@ -382,39 +384,49 @@ func (e *Engine) replOnRankDead(dead int, at vtime.Time) {
 	}
 	st.mu.Unlock()
 
-	// Flush first: completion must not wait on a dead buddy.
-	for _, d := range flushed {
-		d.fin(vtime.Later(d.end, at))
-	}
 	if orphaned {
 		if f := e.flight.Load(); f != nil {
 			f.Note(int64(at), "buddy-lost", dead, 0, int64(len(flushed)), nil)
 		}
-		go e.replRebind(dead)
 	}
+	var rebuild []*simnet.Message
 	if len(mine) > 0 {
-		e.replPromote(dead, mine, at)
+		rebuild = e.replPromote(dead, mine, at)
+	}
+	return func() {
+		// Flush first: completion must not wait on a dead buddy.
+		for _, d := range flushed {
+			d.fin(vtime.Later(d.end, at))
+		}
+		if orphaned {
+			go e.replRebind(dead)
+		}
+		for _, m := range rebuild {
+			e.sendReply(e.proc.Now(), m)
+		}
 	}
 }
 
-// replPromote replays the dead rank's replicas onto a freshly bound
-// spare: one kRebuild frame per replica, then kRebuildDone carrying the
+// replPromote binds a spare for the dead rank's replicas and builds their
+// replay: one kRebuild frame per replica, then kRebuildDone carrying the
 // frame count (the wire may reorder them; the spare counts). The replicas
 // are rekeyed to the spare, which resumes replicating to this rank at
 // exactly the version the replica already holds — continued protection
 // with zero extra transfer. The promotion is recorded in the flight
-// recorder's rank-death report before onRankDead dumps the postmortem.
-func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
+// recorder's rank-death report before onRankDead dumps the postmortem;
+// the frames are sent after it.
+func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) []*simnet.Message {
 	members := e.proc.World().Members()
 	spare, ok := members.AllocSpare(dead)
 	if !ok {
 		if f := e.flight.Load(); f != nil {
 			f.Note(int64(at), "no-spare", dead, 0, int64(len(mine)), nil)
 		}
-		return
+		return nil
 	}
 	st := &e.repl
 	var maxV uint64
+	frames := make([]*simnet.Message, 0, len(mine)+1)
 	st.mu.Lock()
 	for _, key := range mine {
 		r := st.replicas[key]
@@ -435,13 +447,13 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 		m.Hdr[hDisp] = uint64(dead)
 		m.Payload = append([]byte(nil), r.buf...)
 		e.Rebuilds.Inc()
-		e.sendReply(e.proc.Now(), m)
+		frames = append(frames, m)
 	}
 	st.mu.Unlock()
 	done := newMsg(spare, kRebuildDone)
 	done.Hdr[hHandle] = uint64(len(mine))
 	done.Hdr[hDisp] = uint64(dead)
-	e.sendReply(e.proc.Now(), done)
+	frames = append(frames, done)
 	if f := e.flight.Load(); f != nil {
 		f.Note(int64(at), "replica-promote", dead, uint64(spare), int64(len(mine)), nil)
 		f.SetRankDeath(telemetry.RankDeathInfo{
@@ -453,6 +465,7 @@ func (e *Engine) replPromote(dead int, mine []replKey, at vtime.Time) {
 			ToVersion:   maxV,
 		})
 	}
+	return frames
 }
 
 // replRebind runs on its own goroutine after this rank's buddy died: it

@@ -126,7 +126,7 @@ func decodeType(buf []byte) (Type, int, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return contiguous{int(count), base}, pos + n, nil
+		return newContiguous(int(count), base), pos + n, nil
 	case tagVector:
 		count, pos, err := decodeUvarint(buf, 1)
 		if err != nil {
@@ -147,7 +147,7 @@ func decodeType(buf []byte) (Type, int, error) {
 		if int(stride) < int(blocklen) {
 			return nil, 0, fmt.Errorf("datatype: decoded vector stride %d < blocklen %d", stride, blocklen)
 		}
-		return vector{int(count), int(blocklen), int(stride), base}, pos + n, nil
+		return newVector(int(count), int(blocklen), int(stride), base), pos + n, nil
 	case tagIndexed:
 		nblocks, pos, err := decodeUvarint(buf, 1)
 		if err != nil {

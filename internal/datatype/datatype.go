@@ -102,6 +102,9 @@ type Type interface {
 	// elements in one instance of the type, in layout order. off is the
 	// byte offset from the instance start, n the number of elements.
 	walk(fn func(off int, n int, k Kind))
+	// signature returns the run-length signature of one instance,
+	// committed when the type was built.
+	signature() committed
 }
 
 // --- Predefined types -------------------------------------------------
@@ -115,6 +118,19 @@ func (p primitive) Extent() int  { return p.kind.Width() }
 func (p primitive) Name() string { return p.kind.String() }
 func (p primitive) walk(fn func(off, n int, k Kind)) {
 	fn(0, 1, p.kind)
+}
+func (p primitive) signature() committed {
+	return committed{runs: primitiveRuns[p.kind][:], ok: true}
+}
+
+// primitiveRuns holds each primitive's one-run signature, so predefined
+// types commit without allocating.
+var primitiveRuns = [...][1]sigRun{
+	KByte:    {{KByte, 1}},
+	KInt32:   {{KInt32, 1}},
+	KInt64:   {{KInt64, 1}},
+	KFloat32: {{KFloat32, 1}},
+	KFloat64: {{KFloat64, 1}},
 }
 
 // Predefined primitive types.
@@ -131,6 +147,7 @@ var (
 type contiguous struct {
 	count int
 	base  Type
+	sig   committed
 }
 
 // Contiguous returns a type of count consecutive instances of base.
@@ -138,7 +155,11 @@ func Contiguous(count int, base Type) Type {
 	if count < 0 {
 		panic("datatype: Contiguous count must be non-negative")
 	}
-	return contiguous{count, base}
+	return newContiguous(count, base)
+}
+
+func newContiguous(count int, base Type) contiguous {
+	return contiguous{count: count, base: base, sig: commit(nil, base, count)}
 }
 
 func (t contiguous) Size() int   { return t.count * t.base.Size() }
@@ -146,6 +167,7 @@ func (t contiguous) Extent() int { return t.count * t.base.Extent() }
 func (t contiguous) Name() string {
 	return fmt.Sprintf("contiguous(%d,%s)", t.count, t.base.Name())
 }
+func (t contiguous) signature() committed { return t.sig }
 func (t contiguous) walk(fn func(off, n int, k Kind)) {
 	// A contiguous run of a primitive base collapses into one segment.
 	if p, ok := t.base.(primitive); ok {
@@ -166,6 +188,7 @@ type vector struct {
 	blocklen int // base instances per block
 	stride   int // base extents between block starts
 	base     Type
+	sig      committed
 }
 
 // Vector returns a strided type: count blocks of blocklen consecutive base
@@ -178,7 +201,16 @@ func Vector(count, blocklen, stride int, base Type) Type {
 	if stride < blocklen {
 		panic("datatype: Vector stride must be >= blocklen (overlapping blocks are not supported)")
 	}
-	return vector{count, blocklen, stride, base}
+	return newVector(count, blocklen, stride, base)
+}
+
+func newVector(count, blocklen, stride int, base Type) vector {
+	// Holes do not enter the signature: count*blocklen base instances.
+	sig := committed{}
+	if reps, ok := mulInt(count, blocklen); ok {
+		sig = commit(nil, base, reps)
+	}
+	return vector{count: count, blocklen: blocklen, stride: stride, base: base, sig: sig}
 }
 
 func (t vector) Size() int { return t.count * t.blocklen * t.base.Size() }
@@ -191,6 +223,7 @@ func (t vector) Extent() int {
 func (t vector) Name() string {
 	return fmt.Sprintf("vector(%d,%d,%d,%s)", t.count, t.blocklen, t.stride, t.base.Name())
 }
+func (t vector) signature() committed { return t.sig }
 func (t vector) walk(fn func(off, n int, k Kind)) {
 	ext := t.base.Extent()
 	p, prim := t.base.(primitive)
@@ -214,6 +247,7 @@ type indexed struct {
 	displs    []int // block displacements in base extents
 	base      Type
 	extent    int
+	sig       committed
 }
 
 // Indexed returns a scatter/gather type: len(displs) blocks, block i
@@ -224,7 +258,7 @@ func Indexed(blocklens, displs []int, base Type) Type {
 	if len(blocklens) != len(displs) {
 		panic("datatype: Indexed blocklens and displs must have equal length")
 	}
-	ext := 0
+	ext, reps := 0, 0
 	for i, d := range displs {
 		if d < 0 || blocklens[i] < 0 {
 			panic("datatype: Indexed displacements and block lengths must be non-negative")
@@ -232,12 +266,15 @@ func Indexed(blocklens, displs []int, base Type) Type {
 		if end := d + blocklens[i]; end > ext {
 			ext = end
 		}
+		reps += blocklens[i]
 	}
 	return indexed{
 		blocklens: append([]int(nil), blocklens...),
 		displs:    append([]int(nil), displs...),
 		base:      base,
 		extent:    ext * base.Extent(),
+		// Block order does not matter: every block repeats the same base.
+		sig: commit(nil, base, reps),
 	}
 }
 
@@ -252,6 +289,7 @@ func (t indexed) Extent() int { return t.extent }
 func (t indexed) Name() string {
 	return fmt.Sprintf("indexed(%d blocks,%s)", len(t.displs), t.base.Name())
 }
+func (t indexed) signature() committed { return t.sig }
 func (t indexed) walk(fn func(off, n int, k Kind)) {
 	ext := t.base.Extent()
 	p, prim := t.base.(primitive)
@@ -283,6 +321,7 @@ type Field struct {
 type structT struct {
 	fields []Field
 	extent int
+	sig    committed
 }
 
 // Struct returns a heterogeneous record type assembled from fields, like
@@ -291,6 +330,7 @@ type structT struct {
 // offsets.
 func Struct(fields []Field) Type {
 	ext := 0
+	sig := committed{ok: true}
 	for _, f := range fields {
 		if f.Offset < 0 || f.Count < 0 {
 			panic("datatype: Struct field offsets and counts must be non-negative")
@@ -298,8 +338,11 @@ func Struct(fields []Field) Type {
 		if end := f.Offset + f.Count*f.Type.Extent(); end > ext {
 			ext = end
 		}
+		if sig.ok {
+			sig = commit(sig.runs, f.Type, f.Count)
+		}
 	}
-	return structT{fields: append([]Field(nil), fields...), extent: ext}
+	return structT{fields: append([]Field(nil), fields...), extent: ext, sig: sig}
 }
 
 func (t structT) Size() int {
@@ -313,6 +356,7 @@ func (t structT) Extent() int { return t.extent }
 func (t structT) Name() string {
 	return fmt.Sprintf("struct(%d fields)", len(t.fields))
 }
+func (t structT) signature() committed { return t.sig }
 func (t structT) walk(fn func(off, n int, k Kind)) {
 	for _, f := range t.fields {
 		ext := f.Type.Extent()

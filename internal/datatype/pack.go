@@ -139,8 +139,130 @@ func (s Signature) Equal(o Signature) bool {
 	return true
 }
 
+// committed is the signature a type commits at construction, as MPI's
+// commit step flattens a type map once: one instance's maximal
+// (kind, n) runs. Homogeneous layouts fold to a single run however they
+// nest; ok is false only when alternating kinds would flatten past
+// maxCommittedRuns (a decoded wire type may nest 2^31-count structs),
+// and Compatible then falls back to walking both types.
+type committed struct {
+	runs []sigRun
+	ok   bool
+}
+
+// maxCommittedRuns bounds one committed signature.
+const maxCommittedRuns = 1 << 12
+
+// commit appends reps instances of t's committed runs to runs, merging
+// equal kinds at the seams.
+func commit(runs []sigRun, t Type, reps int) committed {
+	base := t.signature()
+	if !base.ok {
+		return committed{}
+	}
+	if len(base.runs) == 1 {
+		n, ok := mulInt(base.runs[0].N, reps)
+		if !ok {
+			return committed{}
+		}
+		return appendRun(runs, base.runs[0].Kind, n)
+	}
+	out := committed{runs: runs, ok: true}
+	for i := 0; i < reps && out.ok; i++ {
+		for _, r := range base.runs {
+			if out = appendRun(out.runs, r.Kind, r.N); !out.ok {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// appendRun appends n elements of kind k, extending the last run when it
+// has the same kind.
+func appendRun(runs []sigRun, k Kind, n int) committed {
+	if n == 0 {
+		return committed{runs: runs, ok: true}
+	}
+	if last := len(runs) - 1; last >= 0 && runs[last].Kind == k {
+		sum, ok := addInt(runs[last].N, n)
+		if !ok {
+			return committed{}
+		}
+		runs[last].N = sum
+		return committed{runs: runs, ok: true}
+	}
+	if len(runs) == maxCommittedRuns {
+		return committed{}
+	}
+	return committed{runs: append(runs, sigRun{k, n}), ok: true}
+}
+
+func mulInt(a, b int) (int, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	p := a * b
+	return p, p/b == a && p > 0
+}
+
+func addInt(a, b int) (int, bool) {
+	s := a + b
+	return s, s >= a
+}
+
+// runCursor walks reps repetitions of one instance's runs element by
+// element without materializing them.
+type runCursor struct {
+	runs []sigRun
+	reps int // repetitions left, the current one included
+	i    int // current run
+	left int // elements left in the current run
+}
+
+func newRunCursor(runs []sigRun, reps int) runCursor {
+	if len(runs) == 0 || reps == 0 {
+		return runCursor{}
+	}
+	if len(runs) == 1 {
+		// One run repeated is one longer run.
+		if n, ok := mulInt(runs[0].N, reps); ok {
+			return runCursor{runs: runs, reps: 1, left: n}
+		}
+	}
+	return runCursor{runs: runs, reps: reps, left: runs[0].N}
+}
+
+func (c *runCursor) take(n int) {
+	if c.left -= n; c.left > 0 {
+		return
+	}
+	if c.i++; c.i == len(c.runs) {
+		c.i = 0
+		c.reps--
+	}
+	if c.reps > 0 {
+		c.left = c.runs[c.i].N
+	}
+}
+
 // Compatible reports whether a transfer of ocount instances of ot matches
-// tcount instances of tt — identical flattened element sequences.
+// tcount instances of tt — identical flattened element sequences. It
+// compares the committed signatures in place: O(1) for predefined types
+// and anything that folds to one run, allocation-free always.
 func Compatible(ocount int, ot Type, tcount int, tt Type) bool {
-	return SignatureOf(ocount, ot).Equal(SignatureOf(tcount, tt))
+	os, ts := ot.signature(), tt.signature()
+	if !os.ok || !ts.ok {
+		return SignatureOf(ocount, ot).Equal(SignatureOf(tcount, tt))
+	}
+	a, b := newRunCursor(os.runs, ocount), newRunCursor(ts.runs, tcount)
+	for a.reps > 0 && b.reps > 0 {
+		if a.runs[a.i].Kind != b.runs[b.i].Kind {
+			return false
+		}
+		n := min(a.left, b.left)
+		a.take(n)
+		b.take(n)
+	}
+	return a.reps == 0 && b.reps == 0
 }
