@@ -54,7 +54,14 @@
 // sharding, events, fault injection, and buddy replication all apply. With
 // WithFailover a map whose stripe owner is declared dead (ErrRankFailed)
 // waits for the spare rebuild and retries against the successor; a parked
-// waiter also wakes on the owner's death and takes the same path.
+// waiter also wakes on the owner's death and takes the same path. That
+// watch covers a stripe's first owner only: a successor spare lies
+// outside the communicator Select addresses, so a waiter parked on it is
+// woken by the holder alone. The holder's retried release, after the
+// successor dies in turn, scans the slots again to make up for a wake the
+// death took with it; but if no second rebuild comes, the holder fails
+// and the waiter sleeps for good, where a polling reader would have seen
+// ErrRankFailed.
 package dht
 
 import (
@@ -184,7 +191,6 @@ type Map struct {
 	misses                            stats.Counter
 	probeSteps, lockRetries, casRaces stats.Counter
 	failovers                         stats.Counter
-	wakes                             stats.Counter   // parks ended by their own ticket
 	contention                        []stats.Counter // per stripe: parks + lost claims
 	lat                               *stats.Histogram
 }
@@ -416,12 +422,14 @@ func (m *Map) snapshot(sr, off int) (word, key int64, err error) {
 // claim CompareSwaps the bucket word from observed to locked(version+1),
 // returning the locked word and whether this handle now holds the claim.
 // After a failover retry, finding the locked word already installed also
-// counts: the first attempt reached the dying owner and was replicated
-// before the response was lost — treating it as a lost race would leave
-// the claimer parked forever on its own lock. (A racer's identical claim
-// in that window is indistinguishable; recovery stays sound because each
-// key has a single writer while a stripe fails over, which the tests and
-// E16 arrange.)
+// counts, with or without the waiter bit: the first attempt reached the
+// dying owner and was replicated before the response was lost, and a
+// reader may have parked on it since — treating it as a lost race would
+// leave the claimer and its waiters parked forever on its own lock. The
+// release clears the bit and wakes them (see release). (A racer's
+// identical claim in that window is indistinguishable; recovery stays
+// sound because each key has a single writer while a stripe fails over,
+// which the tests and E16 arrange.)
 func (m *Map) claim(sr, off int, observed int64) (locked int64, claimed bool, err error) {
 	locked = pack(wordVersion(observed)+1, stateLocked)
 	var old int64
@@ -433,7 +441,7 @@ func (m *Map) claim(sr, off int, observed int64) (locked int64, claimed bool, er
 	if err != nil {
 		return 0, false, err
 	}
-	return locked, old == observed || (retried && old == locked), nil
+	return locked, old == observed || (retried && old&^waitBit == locked), nil
 }
 
 // finish streams the payload puts of a mutation, releases the bucket from
@@ -469,7 +477,10 @@ func (m *Map) finish(sr, off int, payload rma.Region, n, payloadOff int, locked,
 // held. Under the lock only the waiter bit can change, so a second swap
 // from locked|waitBit always lands. On a failover retry a word already
 // past next's version means the first attempt's release reached the dead
-// owner's replica before the response was lost.
+// owner's replica before the response was lost; whether that release saw
+// waiters is lost with it, so the retry reports waiters and the holder
+// scans the slots again. A wake nobody needed only makes its waiter
+// re-read the bucket.
 func (m *Map) release(sr, off int, locked, next int64, retried bool) (waiters bool, err error) {
 	old, err := m.s.CompareSwap(m.stripes[sr], off+wordOff, locked, next, rma.WithOrdering())
 	if err != nil {
@@ -485,7 +496,7 @@ func (m *Map) release(sr, off int, locked, next int64, retried bool) (waiters bo
 	case old == locked || waiters:
 		return waiters, nil
 	case retried && wordVersion(old) >= wordVersion(next):
-		return false, nil
+		return true, nil
 	}
 	return false, fmt.Errorf("dht: bucket word %#x changed under the lock (held %#x)", old, locked)
 }
@@ -546,7 +557,6 @@ func (m *Map) park(sr, off int, locked int64) error {
 		if err := m.sleep(sr, ticket); err != nil {
 			return err
 		}
-		m.wakes.Inc()
 		return m.putSlot(sr, 0)
 	})
 	return err
@@ -582,7 +592,8 @@ func (m *Map) sleep(sr int, ticket uint64) error {
 			return nil
 		}
 		// A successor spare lies outside the communicator Select
-		// addresses; its failure is not watched.
+		// addresses; its failure is not watched (see the package
+		// comment).
 		if owner := m.stripes[sr].Owner; owner < comm.Size() {
 			m.arms = append(m.arms, rma.OnConfirmed(owner, math.MaxInt64))
 		}

@@ -682,7 +682,7 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 	// exists, and the dump's health shows the state the failure hit.
 	if f := e.flight.Load(); f != nil {
 		f.Note(int64(at), "link-failed", dst, 0, 0, err)
-		f.AutoDumpFault("link-failed", int64(at), err)
+		f.AutoDump("link-failed", int64(at), err)
 	}
 
 	e.cmplMu.Lock()
@@ -739,12 +739,6 @@ func (e *Engine) onLinkFailed(dst int, at vtime.Time, cause error) {
 func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	err := fmt.Errorf("core: rank %d declared dead (%v): %w", dead, cause, ErrRankFailed)
 
-	e.cmplMu.Lock()
-	_, dup := e.failedRanks[dead]
-	e.cmplMu.Unlock()
-	if dup {
-		return
-	}
 	// Replication settles its roles first so the postmortem names the
 	// promotion; the dump is written before the death is recorded where a
 	// caller can observe it (see onLinkFailed), and before the rebuild it
@@ -752,15 +746,10 @@ func (e *Engine) onRankDead(dead int, at vtime.Time, cause error) {
 	replicate := e.replOnRankDead(dead, at)
 	if f := e.flight.Load(); f != nil {
 		f.Note(int64(at), "rank-death", dead, 0, 0, err)
-		f.AutoDumpFault("rank-death", int64(at), err)
+		f.AutoDump("rank-death", int64(at), err)
 	}
 
 	e.cmplMu.Lock()
-	if _, dup := e.failedRanks[dead]; dup {
-		e.cmplMu.Unlock()
-		replicate() // whatever roles this call took are still owed
-		return
-	}
 	e.failedRanks[dead] = err
 	if e.rankErr == nil {
 		e.rankErr = err

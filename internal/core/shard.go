@@ -174,6 +174,6 @@ func (e *Engine) failEngine(err error) {
 	}
 	if f := e.flight.Load(); f != nil {
 		f.Note(int64(at), "apply-fault", AllRanks, 0, 0, err)
-		f.AutoDump("apply-fault", int64(at))
+		f.AutoDump("apply-fault", int64(at), nil)
 	}
 }

@@ -257,13 +257,6 @@ func (f *FlightRecorder) Len() int {
 
 // Postmortem assembles a dump without writing it anywhere.
 func (f *FlightRecorder) Postmortem(reason string, at int64) *Postmortem {
-	return f.postmortem(reason, at, nil)
-}
-
-// postmortem assembles a dump whose health snapshot also lists pending —
-// a fault being dumped before the component records it where the health
-// callback reads.
-func (f *FlightRecorder) postmortem(reason string, at int64, pending error) *Postmortem {
 	if f == nil {
 		return nil
 	}
@@ -298,9 +291,6 @@ func (f *FlightRecorder) postmortem(reason string, at int64, pending error) *Pos
 	}
 	if health != nil {
 		h := health()
-		if pending != nil {
-			h.Sticky = append(h.Sticky, pending.Error())
-		}
 		pm.Health = &h
 	}
 	if reg != nil {
@@ -333,14 +323,15 @@ func (f *FlightRecorder) WritePostmortem(w io.Writer, reason string, at int64) e
 // returns the path. File names are deterministic per (rank, reason,
 // dump ordinal) so repeated dumps never clobber each other.
 func (f *FlightRecorder) DumpFile(reason string, at int64) (string, error) {
-	return f.dumpFile(reason, at, nil)
-}
-
-func (f *FlightRecorder) dumpFile(reason string, at int64, pending error) (string, error) {
 	if f == nil {
 		return "", nil
 	}
-	pm := f.postmortem(reason, at, pending)
+	return f.writeDump(reason, f.Postmortem(reason, at))
+}
+
+// writeDump writes pm into the recorder's directory under the next
+// ordinal.
+func (f *FlightRecorder) writeDump(reason string, pm *Postmortem) (string, error) {
 	f.mu.Lock()
 	ordinal := len(f.dumps)
 	dir := f.dir
@@ -369,16 +360,11 @@ func (f *FlightRecorder) dumpFile(reason string, at int64, pending error) (strin
 // AutoDump writes at most one fault-triggered postmortem per recorder
 // (later faults on the same rank are usually cascades of the first).
 // Best effort: dump errors are reported on stderr, never propagated
-// into the failing hot path.
-func (f *FlightRecorder) AutoDump(reason string, at int64) {
-	f.AutoDumpFault(reason, at, nil)
-}
-
-// AutoDumpFault is AutoDump for a fault the component has not recorded
-// yet: the dump's health snapshot lists fault among the sticky errors. A
-// component calls it before making the fault observable, so the
-// postmortem exists before any caller can see the error it describes.
-func (f *FlightRecorder) AutoDumpFault(reason string, at int64, fault error) {
+// into the failing hot path. A non-nil pending is a fault the component
+// has not recorded yet — it dumps before making the fault observable, so
+// the postmortem exists before any caller can see the error — and the
+// dump's health snapshot lists it among the sticky errors.
+func (f *FlightRecorder) AutoDump(reason string, at int64, pending error) {
 	if f == nil {
 		return
 	}
@@ -389,7 +375,11 @@ func (f *FlightRecorder) AutoDumpFault(reason string, at int64, fault error) {
 	if !first {
 		return
 	}
-	if path, err := f.dumpFile(reason, at, fault); err != nil {
+	pm := f.Postmortem(reason, at)
+	if pending != nil && pm.Health != nil {
+		pm.Health.Sticky = append(pm.Health.Sticky, pending.Error())
+	}
+	if path, err := f.writeDump(reason, pm); err != nil {
 		fmt.Fprintf(os.Stderr, "flight recorder: postmortem dump failed: %v\n", err)
 	} else {
 		fmt.Fprintf(os.Stderr, "flight recorder: postmortem written to %s\n", path)

@@ -34,7 +34,7 @@ func TestFlightDisabledZeroAlloc(t *testing.T) {
 	// The rest of the nil-receiver surface must be no-ops, not panics.
 	off.SetHealth(nil)
 	off.SetBaseline(NewRegistry())
-	off.AutoDump("x", 0)
+	off.AutoDump("x", 0, nil)
 	if off.Len() != 0 || off.Postmortem("x", 0) != nil || off.Dumps() != nil {
 		t.Fatal("nil recorder returned non-empty state")
 	}
@@ -106,8 +106,8 @@ func TestFlightAutoDumpOnce(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(FlightConfig{Rank: 3, Dir: dir})
 	f.Note(1, "retransmit", 0, 11, 2, nil)
-	f.AutoDump("link-failed", 5)
-	f.AutoDump("apply-fault", 6)
+	f.AutoDump("link-failed", 5, nil)
+	f.AutoDump("apply-fault", 6, nil)
 	dumps := f.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("auto-dumped %d files, want 1", len(dumps))
